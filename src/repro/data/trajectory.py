@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..network.road_network import RoadNetwork
 
@@ -173,8 +173,3 @@ class TrajectorySample:
         if len(self.dense) < 2:
             return 0.0
         return (self.dense[-1].t - self.dense[0].t) / (len(self.dense) - 1)
-
-
-def route_segment_set(route: Sequence[int]) -> set:
-    """Distinct segments of a route (used by the set-based metrics)."""
-    return set(route)

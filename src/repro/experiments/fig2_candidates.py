@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..matching.mma import candidate_hit_ratio, mean_distance_to_rank
+from ..matching.mma import candidate_hit_ratio
 from ..utils.tables import render_series
 from .common import BENCH, ExperimentScale, get_dataset
 
@@ -26,16 +26,6 @@ def run(scale: ExperimentScale = BENCH) -> Dict[str, Dict[int, float]]:
             dataset.network, samples, kc_values=KC_VALUES
         )
     return results
-
-
-def rank10_distances(scale: ExperimentScale = BENCH) -> Dict[str, float]:
-    """Mean distance to the 10th nearest segment (Section IV-A's 82-122 m)."""
-    return {
-        name: mean_distance_to_rank(
-            get_dataset(name, scale).network, get_dataset(name, scale).test, 10
-        )
-        for name in scale.datasets
-    }
 
 
 def report(results: Dict[str, Dict[int, float]]) -> str:

@@ -17,7 +17,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 _DIRECTIVE = re.compile(r"#\s*reprolint:\s*(?P<body>.*)$")
 _ALLOW = re.compile(r"allow\[(?P<rules>[A-Z0-9,\s]*)\]")
@@ -106,12 +106,3 @@ def parse_suppressions(source: str) -> Dict[int, List[Suppression]]:
             # Standalone comment: also covers the following line.
             by_line.setdefault(lineno + 1, []).append(supp)
     return by_line
-
-
-def find_override(source: str) -> Optional[str]:
-    """Convenience: the first ``module=`` override in ``source``, if any."""
-    for supps in parse_suppressions(source).values():
-        for supp in supps:
-            if supp.module_override:
-                return supp.module_override
-    return None

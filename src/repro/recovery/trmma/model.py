@@ -8,7 +8,9 @@ truth — binary cross-entropy over the route segments (Eq. 19) plus
 
 Inference (:meth:`TRMMAModel.decode`) is greedy: each missing point takes
 the highest-probability segment in the sub-route from the previously emitted
-segment onward (Eq. 17) and the regressed ratio.
+segment onward (Eq. 17) and the regressed ratio.  It runs on the decoder's
+plain-NumPy :class:`~.decoder.DecodeKernel` and computes the positional
+priors of a whole gap at once (in bounded chunks of steps).
 
 The decoder heads consume a constant-speed positional prior along the route
 (see :mod:`.decoder` for the rationale); this module computes it — segment
@@ -71,6 +73,10 @@ def interpolate_expected_offsets(
     return np.interp(times, obs_times, observed_offsets)
 
 
+#: Largest ratio a point may take: ratios lie in [0, 1).
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
 def _local_ratio(route_cum: np.ndarray, offset: float) -> Tuple[int, float]:
     """(route index, within-segment ratio) of a linear offset."""
     idx = int(np.searchsorted(route_cum, offset, side="right") - 1)
@@ -86,7 +92,7 @@ def _ratio_within(route_cum: np.ndarray, index: int, offset: float) -> float:
     the ratio head refines, always consistent with the chosen segment."""
     length = max(float(route_cum[index + 1] - route_cum[index]), 1e-9)
     ratio = (offset - float(route_cum[index])) / length
-    return float(np.clip(ratio, 0.0, np.nextafter(1.0, 0.0)))
+    return min(max(ratio, 0.0), _BELOW_ONE)
 
 
 def build_example(network: RoadNetwork, sample) -> RecoveryExample:
@@ -155,18 +161,24 @@ class TRMMAModel(Module):
     #: Width (metres) of the Gaussian bump around the expected position.
     PRIOR_BANDWIDTH_M = 80.0
 
+    #: Bound on the rows (steps × route segments) of one chunk of priors
+    #: computed at once, so a huge gap never allocates all its priors.
+    PRIOR_CHUNK_ROWS = 1 << 15
+
     @classmethod
-    def _segment_priors(
-        cls, route_cum: np.ndarray, expected_offset: float
-    ) -> np.ndarray:
+    def _segment_priors(cls, route_cum: np.ndarray, expected_offset) -> np.ndarray:
         """Per-segment prior basis (l_R, 3): signed scaled offset of the
         segment midpoint from the expected travel position, its absolute
-        value, and a Gaussian bump peaking at the expected position."""
+        value, and a Gaussian bump peaking at the expected position.
+
+        An array of S expected offsets gives the stacked bases (S, l_R, 3).
+        """
         mids = (route_cum[:-1] + route_cum[1:]) / 2.0
         total = max(float(route_cum[-1]), 1.0)
-        signed = (mids - expected_offset) / total
-        bump = np.exp(-((mids - expected_offset) / cls.PRIOR_BANDWIDTH_M) ** 2)
-        return np.stack([signed, np.abs(signed), bump], axis=1)
+        delta = mids - np.asarray(expected_offset, dtype=float)[..., None]
+        signed = delta / total
+        bump = np.exp(-((delta / cls.PRIOR_BANDWIDTH_M) ** 2))
+        return np.stack([signed, np.abs(signed), bump], axis=-1)
 
     # ---------------------------------------------------------------- training
 
@@ -181,15 +193,21 @@ class TRMMAModel(Module):
         hidden = self.decoder.initial_state(fused)
         l_route = len(example.route)
 
+        predicted = ~example.dense_observed
+        predicted[0] = False
+        all_priors = self._segment_priors(
+            example.route_cum, example.dense_expected_offsets[predicted]
+        )
+
         seg_losses: List[Tensor] = []
         ratio_losses: List[Tensor] = []
         for j in range(len(example.dense_route_indices)):
             idx = int(example.dense_route_indices[j])
             ratio = float(example.dense_ratios[j])
             t_norm = float(example.dense_times_norm[j])
-            if j > 0 and not example.dense_observed[j]:
+            if predicted[j]:
                 expected = float(example.dense_expected_offsets[j])
-                priors = self._segment_priors(example.route_cum, expected)
+                priors = all_priors[len(seg_losses)]  # this point's row
                 prior_ratio = _ratio_within(example.route_cum, idx, expected)
                 scores, predicted_ratio = self.decoder.step(
                     hidden, fused, priors, prior_ratio
@@ -230,7 +248,7 @@ class TRMMAModel(Module):
         route_arr = np.asarray(route)
         attrs = route_attributes(network, route)
         fused = self.encoder(features, segments, route_arr, attrs)
-        hidden = self.decoder.initial_state(fused)
+        kernel = self.decoder.inference_kernel(fused.data)
 
         observed_indices = route_index_of_segments(
             list(route), [a.edge_id for a in observed]
@@ -240,12 +258,13 @@ class TRMMAModel(Module):
             route_cum, observed_indices, [a.ratio for a in observed]
         )
         counts = missing_point_counts(trajectory, epsilon)
+        chunk = max(1, self.PRIOR_CHUNK_ROWS // len(route_arr))
 
         start_t = observed[0].t
         horizon = max(observed[-1].t - start_t, 1.0)
         points: List[MapMatchedPoint] = [observed[0]]
-        hidden = self.decoder.advance(
-            hidden, fused, observed_indices[0], observed[0].ratio, 0.0
+        hidden = kernel.advance(
+            kernel.initial_state(), observed_indices[0], observed[0].ratio, 0.0
         )
         prev_idx = observed_indices[0]
         for i, n_missing in enumerate(counts):
@@ -256,34 +275,36 @@ class TRMMAModel(Module):
             # two observed anchors: Eq. 17's lower bound plus the upper
             # bound the gap's right anchor provides at inference time.
             upper_idx = max(observed_indices[i + 1], prev_idx)
-            for j in range(1, n_missing + 1):
-                t = t0 + j * epsilon
-                expected = o0 + (t - t0) / span * (o1 - o0)
-                priors = self._segment_priors(route_cum, expected)
-                scores = self.decoder.scores(hidden, fused, priors)
-                probs = scores.data
-                masked = np.full_like(probs, -np.inf)
-                masked[prev_idx : upper_idx + 1] = probs[prev_idx : upper_idx + 1]
-                idx = int(masked.argmax())
-                prior_ratio = _ratio_within(route_cum, idx, expected)
-                predicted_ratio = self.decoder.ratio(
-                    hidden, fused, scores, prior_ratio
+            times = t0 + np.arange(1, n_missing + 1) * epsilon
+            expected_offsets = o0 + (times - t0) / span * (o1 - o0)
+            for first in range(0, n_missing, chunk):
+                last = min(first + chunk, n_missing)
+                gap_priors = self._segment_priors(
+                    route_cum, expected_offsets[first:last]
                 )
-                ratio = float(predicted_ratio.data[0])
-                ratio = min(max(ratio, 0.0), np.nextafter(1.0, 0.0))
-                points.append(
-                    MapMatchedPoint(edge_id=int(route_arr[idx]), ratio=ratio, t=t)
-                )
-                hidden = self.decoder.advance(
-                    hidden, fused, idx, ratio, (t - start_t) / horizon
-                )
-                prev_idx = idx
+                for priors, t, expected in zip(
+                    gap_priors,
+                    times[first:last].tolist(),
+                    expected_offsets[first:last].tolist(),
+                ):
+                    scores = kernel.scores(hidden, priors)
+                    idx = prev_idx + int(scores[prev_idx : upper_idx + 1].argmax())
+                    prior_ratio = _ratio_within(route_cum, idx, expected)
+                    ratio = kernel.ratio(hidden, scores, prior_ratio)
+                    ratio = min(max(ratio, 0.0), _BELOW_ONE)
+                    points.append(
+                        MapMatchedPoint(edge_id=int(route_arr[idx]), ratio=ratio, t=t)
+                    )
+                    hidden = kernel.advance(
+                        hidden, idx, ratio, (t - start_t) / horizon
+                    )
+                    prev_idx = idx
             nxt = observed[i + 1]
             points.append(nxt)
             # The observed anchor pins the vehicle's route position; the
             # next gap continues from it.
             prev_idx = observed_indices[i + 1]
-            hidden = self.decoder.advance(
-                hidden, fused, prev_idx, nxt.ratio, (nxt.t - start_t) / horizon
+            hidden = kernel.advance(
+                hidden, prev_idx, nxt.ratio, (nxt.t - start_t) / horizon
             )
         return MatchedTrajectory(points)

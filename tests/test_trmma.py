@@ -1,5 +1,8 @@
 """TRMMA: DualFormer encoder, decoder, model, recoverer, ablations."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,9 @@ from repro.recovery.trmma.model import (
     interpolate_expected_offsets,
 )
 from repro.nn import Tensor
+from repro.nn.tensor import no_grad
+
+GOLDEN_DECODE = pathlib.Path(__file__).parent / "goldens" / "trmma_decode.json"
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +112,128 @@ class TestDecoder:
         assert 0.0 < ratio.data[0] < 1.0
 
 
+class TestDecodeKernel:
+    """The NumPy inference kernel against the Tensor training path.
+
+    Hoisting the ``H`` projections changes the floating-point summation
+    order, so the contract is a tolerance, not bit equality.
+    """
+
+    TOL = 1e-12
+
+    @staticmethod
+    def _setup(use_prior, seed):
+        rng = np.random.default_rng(seed)
+        dec = RecoveryDecoder(d_h=16, use_prior=use_prior, seed=seed)
+        # Random weights *and* biases (biases start at zero), so every
+        # term of the kernel's split arithmetic is exercised.
+        for param in dec.parameters():
+            param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+        fused = rng.normal(size=(9, 16))
+        hidden = rng.normal(size=16)
+        priors = rng.normal(size=(9, 3))
+        return dec, fused, hidden, priors
+
+    @pytest.mark.parametrize("use_prior", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scores_and_ratio_match_tensor_path(self, use_prior, seed):
+        dec, fused, hidden, priors = self._setup(use_prior, seed)
+        kernel = dec.inference_kernel(fused)
+        h_t, fused_t = Tensor(hidden.reshape(1, 16)), Tensor(fused)
+        want_scores = dec.scores(h_t, fused_t, priors if use_prior else None)
+        got_scores = kernel.scores(hidden, priors if use_prior else None)
+        np.testing.assert_allclose(got_scores, want_scores.data, rtol=0, atol=self.TOL)
+        want_ratio = dec.ratio(h_t, fused_t, want_scores, prior_ratio=0.37)
+        got_ratio = kernel.ratio(hidden, got_scores, prior_ratio=0.37)
+        assert abs(got_ratio - float(want_ratio.data[0])) <= self.TOL
+
+    @pytest.mark.parametrize("use_prior", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_advance_and_initial_state_match_tensor_path(self, use_prior, seed):
+        dec, fused, hidden, _ = self._setup(use_prior, seed)
+        kernel = dec.inference_kernel(fused)
+        fused_t = Tensor(fused)
+        np.testing.assert_allclose(
+            kernel.initial_state(),
+            dec.initial_state(fused_t).data[0],
+            rtol=0,
+            atol=self.TOL,
+        )
+        for idx, ratio, t_norm in [(0, 0.0, 0.0), (4, 0.61, 0.3), (8, 0.99, 1.0)]:
+            want = dec.advance(Tensor(hidden.reshape(1, 16)), fused_t, idx, ratio, t_norm)
+            got = kernel.advance(hidden, idx, ratio, t_norm)
+            np.testing.assert_allclose(got, want.data[0], rtol=0, atol=self.TOL)
+
+    def test_faithful_ratio_saturates_without_overflow(self):
+        dec, fused, hidden, _ = self._setup(False, 0)
+        scores = np.zeros(len(fused))
+        dec.ratio_head.fc2.bias.data[:] = -1e4
+        assert dec.inference_kernel(fused).ratio(hidden, scores) == 0.0
+        dec.ratio_head.fc2.bias.data[:] = 1e4
+        assert dec.inference_kernel(fused).ratio(hidden, scores) == 1.0
+
+    def test_kernel_reads_current_weights(self):
+        dec, fused, hidden, priors = self._setup(True, 0)
+        before = dec.inference_kernel(fused).scores(hidden, priors)
+        dec.classifier.fc2.bias.data += 1.0
+        after = dec.inference_kernel(fused).scores(hidden, priors)
+        np.testing.assert_allclose(after, before + 1.0, rtol=0, atol=self.TOL)
+
+    @staticmethod
+    def _decode_fixture(tiny_dataset):
+        """Decode the test split and the first train samples with untrained
+        seeded models, both heads, from ground-truth observations."""
+        outputs = {}
+        for key, use_prior in (("prior", True), ("faithful", False)):
+            model = TRMMAModel(
+                tiny_dataset.network.n_segments,
+                d_h=16,
+                ffn_hidden=32,
+                use_prior=use_prior,
+                seed=0,
+            )
+            rows = []
+            with no_grad():
+                for s in list(tiny_dataset.test) + list(tiny_dataset.train[:8]):
+                    rows.append(
+                        model.decode(
+                            tiny_dataset.network,
+                            s.sparse,
+                            s.gt_point_matches,
+                            s.route,
+                            tiny_dataset.epsilon,
+                        )
+                    )
+            outputs[key] = rows
+        return outputs
+
+    def test_decode_matches_tensor_decoder_golden(self, tiny_dataset):
+        """Outputs recorded from the Tensor-step decoder: same segments,
+        ratios within the tolerance contract."""
+        golden = json.loads(GOLDEN_DECODE.read_text())
+        outputs = self._decode_fixture(tiny_dataset)
+        for key in ("prior", "faithful"):
+            assert len(outputs[key]) == len(golden[key])
+            for recovered, want in zip(outputs[key], golden[key]):
+                assert [p.edge_id for p in recovered] == want["segments"]
+                np.testing.assert_allclose(
+                    [p.ratio for p in recovered], want["ratios"], rtol=0, atol=self.TOL
+                )
+
+    def test_prior_chunking_does_not_change_decode(self, tiny_dataset, monkeypatch):
+        model = TRMMAModel(
+            tiny_dataset.network.n_segments, d_h=16, ffn_hidden=32, seed=0
+        )
+        s = tiny_dataset.test[0]
+        args = (tiny_dataset.network, s.sparse, s.gt_point_matches, s.route,
+                tiny_dataset.epsilon)
+        with no_grad():
+            whole = model.decode(*args)
+            monkeypatch.setattr(TRMMAModel, "PRIOR_CHUNK_ROWS", 1)
+            chunked = model.decode(*args)
+        assert chunked == whole
+
+
 class TestPriorHelpers:
     def test_point_offsets(self):
         cum = np.array([0.0, 100.0, 250.0])
@@ -131,6 +259,14 @@ class TestPriorHelpers:
         priors = TRMMAModel._segment_priors(cum, 150.0)
         assert priors.shape == (3, 3)
         assert priors[1, 2] == priors.max(axis=0)[2]  # bump max at middle seg
+
+    def test_segment_priors_array_equals_stacked_scalars(self):
+        cum = np.cumsum(np.r_[0.0, np.random.default_rng(3).uniform(20, 300, 17)])
+        offsets = np.linspace(-50.0, cum[-1] + 50.0, 23)
+        batched = TRMMAModel._segment_priors(cum, offsets)
+        assert batched.shape == (23, 17, 3)
+        stacked = np.stack([TRMMAModel._segment_priors(cum, float(o)) for o in offsets])
+        assert np.array_equal(batched, stacked)
 
 
 class TestModelTraining:
